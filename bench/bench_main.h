@@ -45,13 +45,6 @@
  *                 hit/miss/evict counters). NOT byte-stable across
  *                 runs — feed to tools/dream_prof for the
  *                 cache-efficiency table, never to dream_diff.
- *   --no-cost-cache
- *                 disable the process-wide shared cost-table cache:
- *                 every engine run builds its own lazy cost table
- *                 (the pre-cache behaviour). Results are
- *                 byte-identical either way — this flag exists so
- *                 CI can prove that and perf_hotpath can measure
- *                 the difference.
  *
  * Malformed values of any flag (e.g. a --chunk with B > E,
  * non-numeric or negative positions) are rejected with an error and
@@ -75,7 +68,6 @@
 #include <string>
 #include <vector>
 
-#include "costmodel/cost_table_cache.h"
 #include "engine/engine.h"
 #include "engine/result_sink.h"
 #include "engine/worker_pool.h"
@@ -132,7 +124,6 @@ struct Options {
     std::string traceEventDir; ///< --trace-events dir; empty = none
     std::string metricsPath;   ///< --metrics file; empty = none
     std::string metricsFullPath; ///< --metrics-full file; empty = none
-    bool costCache = true; ///< false with --no-cost-cache
 
     /**
      * Global positions consumed by previous runOrList calls.
@@ -255,11 +246,7 @@ printUsage(const char* prog, const std::vector<ExtraFlag>& extra = {})
                 "               like --metrics but include volatile "
                 "metrics\n               (wall-times, cost-cache "
                 "counters); for\n               dream_prof, not "
-                "byte-stable\n"
-                "  --no-cost-cache\n"
-                "               disable the shared cost-table cache "
-                "(results are\n               byte-identical; only "
-                "throughput changes)\n",
+                "byte-stable\n",
                 prog);
     for (const auto& e : extra)
         std::printf("  %s  %s\n", e.flag, e.help);
@@ -358,8 +345,6 @@ parseArgs(int argc, char** argv, const std::vector<ExtraFlag>& extra = {})
                 std::fprintf(stderr, "--metrics-full needs a file\n");
                 std::exit(2);
             }
-        } else if (arg == "--no-cost-cache") {
-            opts.costCache = false;
         } else if (arg == "--list") {
             opts.list = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -378,10 +363,6 @@ parseArgs(int argc, char** argv, const std::vector<ExtraFlag>& extra = {})
     }
     if (opts.jobs <= 0)
         opts.jobs = engine::WorkerPool::defaultJobs();
-    // The cache enable flag is process-global: every path that
-    // acquires a cost table (engine runs, runner::runOnce under a
-    // ParamSearch) honours it without plumbing.
-    cost::CostTableCache::setEnabled(opts.costCache);
     // --metrics gets the same fail-fast + --list discipline as --out:
     // verify writability up front (not after minutes of sweeping) and
     // never truncate an existing file under --list, which runs

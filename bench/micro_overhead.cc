@@ -51,10 +51,8 @@ struct ContextFixture {
         : system(hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os)),
           scenario(workload::makeScenario(
               workload::ScenarioPreset::VrGaming)),
-          costs(system)
+          costs(system, scenario.models())
     {
-        for (const auto& t : scenario.tasks)
-            costs.addModel(t.model);
         for (const auto& acc : system.accelerators) {
             sim::AcceleratorState st;
             st.config = &acc;

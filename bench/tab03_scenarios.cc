@@ -69,7 +69,7 @@ main(int argc, char** argv)
 
     for (const auto preset : workload::allScenarioPresets()) {
         const auto scenario = workload::makeScenario(preset);
-        cost::CostTable costs(probe);
+        const cost::CostTable costs(probe, scenario.models());
 
         runner::Table table({"Model", "FPS", "Dep", "Trigger", "MMACs",
                              "Weights(MB)", "WS-2K(ms)", "OS-2K(ms)",
@@ -78,7 +78,6 @@ main(int argc, char** argv)
         for (workload::TaskId t = 0;
              t < workload::TaskId(scenario.tasks.size()); ++t) {
             const auto& spec = scenario.tasks[t];
-            costs.addModel(spec.model);
             const double ws_ms =
                 modelLatencyUs(costs, spec.model, 0) / 1e3;
             const double os_ms =

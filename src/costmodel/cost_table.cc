@@ -45,22 +45,27 @@ makeKey(const models::Layer& layer)
                     layer.repeat};
 }
 
-CostTable::CostTable(const hw::SystemConfig& system) : system_(system)
+CostTable::CostTable(const hw::SystemConfig& system,
+                     const std::vector<const models::Model*>& models)
+    : system_(system)
 {
     assert(!system_.accelerators.empty());
+    for (const models::Model* model : models) {
+        for (const auto& l : model->layers)
+            addLayer(l);
+        for (const auto& v : model->variants) {
+            for (const auto& l : v.bodyLayers)
+                addLayer(l);
+        }
+    }
 }
 
-const CostTable::Entry&
-CostTable::entryFor(const models::Layer& layer) const
+void
+CostTable::addLayer(const models::Layer& layer)
 {
     const LayerKey key = makeKey(layer);
-    auto it = cache_.find(key);
-    if (it != cache_.end())
-        return it->second;
-    if (frozen_)
-        throw std::logic_error(
-            "layer missing from frozen cost table (model not "
-            "pre-warmed via addModel before freeze)");
+    if (cache_.count(key))
+        return;
 
     Entry e;
     e.byAccel.resize(system_.size());
@@ -87,18 +92,18 @@ CostTable::entryFor(const models::Layer& layer) const
         }
     }
     e.agg.avgLatencyUs = e.agg.sumLatencyUs / double(system_.size());
-    return cache_.emplace(key, std::move(e)).first->second;
+    cache_.emplace(key, std::move(e));
 }
 
-void
-CostTable::addModel(const models::Model& model)
+const CostTable::Entry&
+CostTable::entryFor(const models::Layer& layer) const
 {
-    for (const auto& l : model.layers)
-        entryFor(l);
-    for (const auto& v : model.variants) {
-        for (const auto& l : v.bodyLayers)
-            entryFor(l);
-    }
+    auto it = cache_.find(makeKey(layer));
+    if (it == cache_.end())
+        throw std::logic_error(
+            "layer missing from cost table (not in any model the "
+            "table was built for)");
+    return it->second;
 }
 
 const LayerCost&

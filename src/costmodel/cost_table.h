@@ -16,10 +16,11 @@
  * costs of the same layer) pays one lookup per layer instead of one
  * per query.
  *
- * freeze() turns a pre-warmed table immutable: further lookups of
- * unknown layers throw instead of lazily extending the cache. A
- * frozen table is safe to share across threads (concurrent const
- * lookups never mutate), which is what CostTableCache hands out.
+ * A table is built whole at construction, for every layer of the
+ * models it covers (Supernet variant bodies included), and never
+ * changes afterwards: a lookup of any other layer throws. Concurrent
+ * const lookups therefore never mutate, so one table may be shared
+ * across threads, which is what CostTableCache hands out.
  */
 
 #ifndef DREAM_COSTMODEL_COST_TABLE_H
@@ -70,29 +71,18 @@ struct LayerAgg {
 };
 
 /**
- * Latency/energy lookup for one target system.
+ * Immutable latency/energy lookup for one target system and the
+ * models it covers.
  *
- * Lookups are lazy: the first query for a given layer computes and
- * caches the full (accelerator x slice) cost matrix. addModel() can
- * pre-warm the cache offline, matching the paper's flow; freeze()
- * then locks the table for thread-safe sharing.
+ * The constructor computes the full (accelerator x slice) cost matrix
+ * of every layer on every path of @p models, offline, matching the
+ * paper's flow. Every lookup is const and non-mutating; a lookup of a
+ * layer outside the covered models throws std::logic_error.
  */
 class CostTable {
 public:
-    explicit CostTable(const hw::SystemConfig& system);
-
-    /** Pre-compute costs for every layer of a model (incl. variants). */
-    void addModel(const models::Model& model);
-
-    /**
-     * Lock the table: lookups of layers not already cached throw
-     * std::logic_error instead of lazily computing. After freeze(),
-     * const lookups never mutate, so the table may be shared across
-     * threads without synchronisation.
-     */
-    void freeze() { frozen_ = true; }
-    /** True once freeze() was called. */
-    bool frozen() const { return frozen_; }
+    CostTable(const hw::SystemConfig& system,
+              const std::vector<const models::Model*>& models);
 
     /** Number of accelerators in the target system. */
     size_t numAccelerators() const { return system_.size(); }
@@ -152,18 +142,18 @@ public:
         const Entry* entry_;
     };
 
-    /** The entry for @p layer (computed now if absent and unfrozen). */
+    /** The entry for @p layer (throws if the table does not cover it). */
     LayerView view(const models::Layer& layer) const
     {
         return LayerView(&entryFor(layer));
     }
 
 private:
+    void addLayer(const models::Layer& layer);
     const Entry& entryFor(const models::Layer& layer) const;
 
     hw::SystemConfig system_;
-    bool frozen_ = false;
-    mutable std::unordered_map<LayerKey, Entry, LayerKeyHash> cache_;
+    std::unordered_map<LayerKey, Entry, LayerKeyHash> cache_;
 };
 
 } // namespace cost

@@ -1,7 +1,6 @@
 #include "costmodel/cost_table_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -30,8 +29,6 @@ appendDouble(std::string& out, double v)
     std::memcpy(&bits, &v, sizeof bits);
     appendBits(out, bits);
 }
-
-std::atomic<bool> g_enabled{true};
 
 } // anonymous namespace
 
@@ -137,11 +134,8 @@ CostTableCache::acquire(const hw::SystemConfig& system,
     // blocks here and then hits, so each distinct pair is built
     // exactly once and the miss count is the distinct-key count.
     ++misses_;
-    auto table = std::make_shared<CostTable>(system);
-    for (const auto& task : scenario.tasks)
-        table->addModel(task.model);
-    table->freeze();
-    r.table = table;
+    r.table =
+        std::make_shared<const CostTable>(system, scenario.models());
 
     lru_.push_front(key);
     map_.emplace(std::move(key), Slot{r.table, lru_.begin()});
@@ -189,31 +183,11 @@ CostTableCache::global()
     return instance;
 }
 
-bool
-CostTableCache::enabled()
-{
-    return g_enabled.load(std::memory_order_relaxed);
-}
-
-void
-CostTableCache::setEnabled(bool on)
-{
-    g_enabled.store(on, std::memory_order_relaxed);
-}
-
 std::shared_ptr<const CostTable>
 acquireCostTable(const hw::SystemConfig& system,
                  const workload::Scenario& scenario,
                  obs::MetricsRegistry* metrics)
 {
-    if (!CostTableCache::enabled()) {
-        // Bypass: a private lazy table, exactly the pre-cache
-        // behaviour (and the --no-cost-cache reference mode).
-        auto table = std::make_shared<CostTable>(system);
-        for (const auto& task : scenario.tasks)
-            table->addModel(task.model);
-        return table;
-    }
     const CostTableCache::Result r =
         CostTableCache::global().acquire(system, scenario);
     if (metrics) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Process-wide cache of pre-warmed, frozen CostTables.
+ * Process-wide cache of immutable CostTables.
  *
  * Sweeps pay a large fixed tax per grid point when every point
  * builds its own CostTable: a 10k-point parameter scan over one
@@ -14,10 +14,10 @@
  *
  * Determinism argument: a CostTable is a pure function of
  * (SystemConfig, layer-shape set). The key captures both inputs
- * exactly (full equality compare, no hash truncation), tables are
- * pre-warmed via addModel() and frozen before they are published, and
- * frozen lookups never mutate — so a cached run computes the same
- * numbers as an uncached one, byte for byte, at any --jobs value.
+ * exactly (full equality compare, no hash truncation), a table is
+ * built whole before it is published, and lookups never mutate — so
+ * a shared table computes the same numbers as one built for the
+ * point alone, byte for byte, at any --jobs value.
  * Only the hit/miss/evict counters depend on scheduling history;
  * they are marked volatile in the metrics registry.
  */
@@ -72,7 +72,7 @@ TableKey makeTableKey(const hw::SystemConfig& system,
                       const workload::Scenario& scenario);
 
 /**
- * Thread-safe LRU cache of frozen CostTables. Tables build under the
+ * Thread-safe LRU cache of CostTables. Tables build under the
  * cache lock, so concurrent workers missing on the same key build it
  * once (the second worker hits), and the miss count equals the
  * number of distinct keys seen (modulo evictions).
@@ -98,9 +98,9 @@ public:
     explicit CostTableCache(size_t capacity = kDefaultCapacity);
 
     /**
-     * The frozen table for (system, scenario's model set): built and
-     * pre-warmed now on a miss, shared on a hit. The returned
-     * shared_ptr keeps the table alive past eviction.
+     * The table for (system, scenario's model set): built now on a
+     * miss, shared on a hit. The returned shared_ptr keeps the table
+     * alive past eviction (at capacity 0 every call builds its own).
      */
     Result acquire(const hw::SystemConfig& system,
                    const workload::Scenario& scenario);
@@ -114,11 +114,6 @@ public:
 
     /** The process-wide instance engine/runner acquire from. */
     static CostTableCache& global();
-    /** Global kill switch (--no-cost-cache): when false,
-     *  acquireCostTable() builds private tables and never touches
-     *  the cache. Default true. */
-    static bool enabled();
-    static void setEnabled(bool on);
 
 private:
     uint64_t evictOverCapacityLocked();
@@ -138,13 +133,12 @@ private:
 };
 
 /**
- * The one entry point run paths use: a pre-warmed table for
- * (system, scenario) — shared via the global cache when enabled,
- * private (lazy, like the pre-cache code) when disabled. When
- * @p metrics is non-null and the cache is enabled, records the
- * outcome as counters costcache/{hit,miss,evict}, marked volatile
- * (hit order is scheduling-dependent, so the canonical --metrics
- * dump must not depend on it).
+ * The one entry point run paths use: the table for (system,
+ * scenario), shared via the global cache. When @p metrics is
+ * non-null, records the outcome as counters
+ * costcache/{hit,miss,evict}, marked volatile (hit order is
+ * scheduling-dependent, so the canonical --metrics dump must not
+ * depend on it).
  */
 std::shared_ptr<const CostTable>
 acquireCostTable(const hw::SystemConfig& system,

@@ -269,12 +269,11 @@ runGridPoint(const SweepGrid::Point& point, const EngineOptions& opts,
              obs::MetricsRegistry* metrics_out)
 {
     // Materialise everything locally: workers share nothing MUTABLE.
-    // The cost table is the exception that proves the rule — a frozen
+    // The cost table is the exception that proves the rule — an
     // immutable table shared through the process-wide cache, so a
     // sweep builds each distinct (system, model set) table once
     // instead of once per point (see cost_table_cache.h for the
-    // determinism argument; --no-cost-cache restores private lazy
-    // tables).
+    // determinism argument).
     const workload::Scenario scenario = (*point.makeScenario)();
     const hw::SystemConfig system = (*point.makeSystem)();
     const std::shared_ptr<const cost::CostTable> costs =

@@ -88,8 +88,8 @@ runOnce(const hw::SystemConfig& system,
     // Route through the shared cache: the multi-seed / multi-
     // scheduler loops above this call (runSeeds, bench sweeps,
     // ParamSearch evaluations) repeat one (system, model set) pair
-    // many times — each repeat now reuses one frozen table instead
-    // of rebuilding it.
+    // many times — each repeat now reuses one table instead of
+    // rebuilding it.
     const std::shared_ptr<const cost::CostTable> costs =
         cost::acquireCostTable(system, scenario);
 

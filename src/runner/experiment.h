@@ -1,7 +1,7 @@
 /**
  * @file
  * Experiment harness: one-call execution of (system, scenario,
- * scheduler) runs with CostTable pre-warming, multi-seed averaging
+ * scheduler) runs with shared CostTables, multi-seed averaging
  * and a scheduler factory covering every scheduler in the repo.
  */
 

@@ -59,7 +59,7 @@ struct AdmissionStats {
 /**
  * The admission gate. Deterministic: decisions depend only on the
  * offered frame sequence, the queue depths the caller reports, and
- * the frozen cost table — never on wall time.
+ * the immutable cost table — never on wall time.
  *
  * The backlog model is intentionally simple (the gate must be cheap):
  * admitting a frame adds its best-case path latency, and the backlog

@@ -18,7 +18,7 @@
  *
  * The determinism contract (ARCHITECTURE.md invariant 7): every
  * decision is a pure function of virtual time, the session's spec
- * (costed on the frozen table), and gauges that are themselves pure
+ * (costed on the immutable table), and gauges that are themselves pure
  * functions of virtual time — never wall clock, thread timing or
  * RNG. A cluster run therefore replays bit-for-bit.
  */

@@ -28,6 +28,16 @@ Scenario::isLeaf(TaskId task) const
     return true;
 }
 
+std::vector<const models::Model*>
+Scenario::models() const
+{
+    std::vector<const models::Model*> out;
+    out.reserve(tasks.size());
+    for (const auto& t : tasks)
+        out.push_back(&t.model);
+    return out;
+}
+
 namespace {
 
 TaskSpec

@@ -54,6 +54,8 @@ struct Scenario {
     std::vector<TaskId> childrenOf(TaskId parent) const;
     /** True if no other task depends on @p task (frame-drop Cond. 3). */
     bool isLeaf(TaskId task) const;
+    /** Each task's model, in task order (a CostTable's coverage). */
+    std::vector<const models::Model*> models() const;
 };
 
 /** Identifier for the five Table 3 scenarios. */

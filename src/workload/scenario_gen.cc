@@ -102,7 +102,7 @@ ScenarioGenerator::ScenarioGenerator(ScenarioGenSpec spec)
     if (spec_.targetLoad > 0.0) {
         // Cost the whole pool once, through the process-wide table
         // cache: a probe scenario holding every pool model keys ONE
-        // shared frozen table, reused by every generator with the
+        // shared table, reused by every generator with the
         // same (loadSystem, pool) — and by the thousands of
         // candidate specs a scenario hunt generates.
         const hw::SystemConfig system = loadSystemFor(spec_);

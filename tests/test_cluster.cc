@@ -27,16 +27,6 @@
 namespace dream {
 namespace {
 
-cost::CostTable
-buildCosts(const hw::SystemConfig& system,
-           const workload::Scenario& scenario)
-{
-    cost::CostTable costs(system);
-    for (const auto& t : scenario.tasks)
-        costs.addModel(t.model);
-    return costs;
-}
-
 /** Push every root frame in arrival order and close the stream. */
 void
 feedStream(workload::StreamSource& stream,
@@ -76,7 +66,7 @@ TEST(ClusterSim, AdvanceToWithNoPendingArrivalsIsHarmless)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
-    const auto costs = buildCosts(system, scenario);
+    const cost::CostTable costs(system, scenario.models());
 
     sim::SimConfig cfg;
     cfg.windowUs = 2e5;
@@ -108,7 +98,7 @@ TEST(ClusterSim, OfferArrivalExactlyAtNowIsAccepted)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
-    const auto costs = buildCosts(system, scenario);
+    const cost::CostTable costs(system, scenario.models());
 
     sim::Simulator sim(system, scenario, costs, {});
     sched::FcfsScheduler fcfs;
@@ -139,7 +129,7 @@ TEST(ClusterSim, FinishStreamIsIdempotent)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
-    const auto costs = buildCosts(system, scenario);
+    const cost::CostTable costs(system, scenario.models());
 
     sim::SimConfig cfg;
     cfg.windowUs = 2e5;
@@ -251,7 +241,7 @@ TEST(ClusterDispatcher, RoundRobinCyclesAndValidatesSessions)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
-    const auto costs = buildCosts(system, scenario);
+    const cost::CostTable costs(system, scenario.models());
     serve::Dispatcher dispatcher(serve::RouterPolicy::RoundRobin, 3,
                                  scenario, costs, 1e6);
 
@@ -269,7 +259,7 @@ TEST(ClusterDispatcher, LeastLoadedAvoidsTheBackloggedDevice)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
-    const auto costs = buildCosts(system, scenario);
+    const cost::CostTable costs(system, scenario.models());
     serve::Dispatcher dispatcher(serve::RouterPolicy::LeastLoaded, 2,
                                  scenario, costs, 1e6);
 
@@ -288,7 +278,7 @@ TEST(Cluster, SingleDeviceIsBitIdenticalToServeLoopRun)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall, 0.7);
-    const auto costs = buildCosts(system, scenario);
+    const cost::CostTable costs(system, scenario.models());
     const double window_us = 1e6;
     const uint64_t seed = 11;
 
@@ -322,7 +312,7 @@ TEST(Cluster, FourDeviceRunsReplayIdenticallyUnderEveryRouter)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario = workload::makeScenario(
         workload::ScenarioPreset::VrGaming, 0.9);
-    const auto costs = buildCosts(system, scenario);
+    const cost::CostTable costs(system, scenario.models());
     const double window_us = 5e5;
 
     for (const auto router : serve::allRouterPolicies()) {
@@ -359,7 +349,7 @@ TEST(Cluster, MetricsAreDeviceNamespacedWithClusterRollups)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall, 0.5);
-    const auto costs = buildCosts(system, scenario);
+    const cost::CostTable costs(system, scenario.models());
 
     obs::MetricsRegistry metrics;
     serve::ClusterConfig config;
@@ -396,7 +386,7 @@ TEST(Cluster, FairnessRatiosComeFromCompletedFrames)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall, 0.5);
-    const auto costs = buildCosts(system, scenario);
+    const cost::CostTable costs(system, scenario.models());
 
     serve::ClusterConfig config;
     config.devices = 2;
@@ -406,8 +396,9 @@ TEST(Cluster, FairnessRatiosComeFromCompletedFrames)
 
     ASSERT_EQ(result.fairnessRatio.size(), 2u);
     for (const double ratio : result.fairnessRatio) {
-        if (std::isfinite(ratio))
+        if (std::isfinite(ratio)) {
             EXPECT_GT(ratio, 0.0);
+        }
     }
     EXPECT_GE(result.fairnessSpread, 1.0);
 }

@@ -273,27 +273,42 @@ TEST(Engine, ParallelRunsAreByteIdenticalToSerial)
 
 TEST(Engine, CostCacheOnAndOffAreByteIdentical)
 {
-    // The acceptance contract of the shared cost-table cache: it may
-    // only change throughput, never a single output byte, at any
-    // --jobs value.
-    const auto grid = smallGrid();
-    const bool saved = cost::CostTableCache::enabled();
+    // Invariant 3: a table served warm from the shared cache and one
+    // built for the point alone (capacity 0 keeps nothing, so every
+    // point builds its own) give the same bytes at any --jobs value.
+    // Every Table 3 scenario (Supernet variants included) under every
+    // evaluation scheduler, on a heterogeneous and a homogeneous
+    // system.
+    engine::SweepGrid grid;
+    for (const auto preset : workload::allScenarioPresets())
+        grid.addScenario(preset);
+    grid.addSystem(hw::SystemPreset::Sys4k1Ws2Os)
+        .addSystem(hw::SystemPreset::Sys4k2Ws);
+    for (const auto kind : runner::evaluationSchedulers())
+        grid.addScheduler(kind);
+    grid.seeds({1}).window(5e5);
 
-    std::ostringstream on1, on4, off1;
+    auto& cache = cost::CostTableCache::global();
+    const size_t saved_capacity = cache.capacity();
+    std::ostringstream shared1, shared4, fresh1;
     {
-        engine::CsvSink sink_on1(on1), sink_on4(on4), sink_off1(off1);
-        cost::CostTableCache::setEnabled(true);
-        cost::CostTableCache::global().clear();
-        engine::Engine({1}).run(grid, {&sink_on1});
-        engine::Engine({4}).run(grid, {&sink_on4});
-        cost::CostTableCache::setEnabled(false);
-        engine::Engine({1}).run(grid, {&sink_off1});
+        engine::CsvSink sink_s1(shared1), sink_s4(shared4),
+            sink_f1(fresh1);
+        cache.clear();
+        engine::Engine({1}).run(grid, {&sink_s1});
+        engine::Engine({4}).run(grid, {&sink_s4});
+        EXPECT_GT(cache.stats().hits, 0u);
+        cache.clear();
+        cache.setCapacity(0);
+        engine::Engine({1}).run(grid, {&sink_f1});
+        EXPECT_EQ(cache.stats().hits, 0u);
+        EXPECT_EQ(cache.stats().misses, grid.size());
     }
-    cost::CostTableCache::setEnabled(saved);
-    cost::CostTableCache::global().clear();
+    cache.setCapacity(saved_capacity);
+    cache.clear();
 
-    EXPECT_EQ(on1.str(), off1.str());
-    EXPECT_EQ(on1.str(), on4.str());
+    EXPECT_EQ(shared1.str(), fresh1.str());
+    EXPECT_EQ(shared1.str(), shared4.str());
 }
 
 TEST(Engine, ParamGridMatchesSingleEvaluator)

@@ -52,6 +52,13 @@ struct ZooCase {
     uint64_t maxMacs;   ///< sanity ceiling (MMACs)
 };
 
+// Without this GoogleTest prints the raw bytes of the case, pointers
+// included, and the test names ctest discovers change on every run.
+void PrintTo(const ZooCase& zc, std::ostream* os)
+{
+    *os << zc.name;
+}
+
 class ZooTest : public ::testing::TestWithParam<ZooCase> {};
 
 TEST_P(ZooTest, WellFormed)

@@ -349,9 +349,7 @@ runWithTelemetry(bool attach)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
-    cost::CostTable costs(system);
-    for (const auto& t : scenario.tasks)
-        costs.addModel(t.model);
+    const cost::CostTable costs(system, scenario.models());
 
     sim::SimConfig cfg;
     cfg.windowUs = 2e5;
@@ -488,8 +486,6 @@ TEST(EngineTelemetry, CostCacheCountersAreRecordedButVolatile)
     // Cache traffic depends on scheduling history (which worker
     // misses first), so the counters must reach profilers through
     // the full dump while staying out of the canonical one.
-    const bool saved = cost::CostTableCache::enabled();
-    cost::CostTableCache::setEnabled(true);
     cost::CostTableCache::global().clear();
 
     const auto grid = obsGrid();
@@ -499,7 +495,6 @@ TEST(EngineTelemetry, CostCacheCountersAreRecordedButVolatile)
     opts.metrics = &m;
     engine::Engine(opts).run(grid);
 
-    cost::CostTableCache::setEnabled(saved);
     cost::CostTableCache::global().clear();
 
     ASSERT_TRUE(m.counters().count("costcache/hit"));

@@ -83,9 +83,7 @@ TEST(Serve, StreamedGenerativeRunMatchesOfflineRun)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall, 0.7);
-    cost::CostTable costs(system);
-    for (const auto& t : scenario.tasks)
-        costs.addModel(t.model);
+    const cost::CostTable costs(system, scenario.models());
     const double window_us = 1e6;
     const uint64_t seed = 11;
 
@@ -113,9 +111,7 @@ TEST(Serve, StreamedTraceReplayMatchesOfflineReplay)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario = workload::makeScenario(
         workload::ScenarioPreset::VrGaming, 0.5);
-    cost::CostTable costs(system);
-    for (const auto& t : scenario.tasks)
-        costs.addModel(t.model);
+    const cost::CostTable costs(system, scenario.models());
     const double window_us = 5e5;
     const uint64_t seed = 23;
 
@@ -153,9 +149,7 @@ TEST(Serve, IncrementalApiMatchesRunWithArbitraryStepping)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
     const auto scenario = workload::makeScenario(
         workload::ScenarioPreset::DroneOutdoor, 0.5);
-    cost::CostTable costs(system);
-    for (const auto& t : scenario.tasks)
-        costs.addModel(t.model);
+    const cost::CostTable costs(system, scenario.models());
     const double window_us = 4e5;
 
     sim::SimConfig cfg;
@@ -201,9 +195,7 @@ TEST(Serve, OfferArrivalEnforcesOrdering)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k2Ws);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
-    cost::CostTable costs(system);
-    for (const auto& t : scenario.tasks)
-        costs.addModel(t.model);
+    const cost::CostTable costs(system, scenario.models());
     sim::Simulator sim(system, scenario, costs, {});
     sched::FcfsScheduler fcfs;
     sim.beginStream(fcfs);
@@ -263,8 +255,7 @@ TEST(Serve, AdmissionRejectsWhenQueueDepthExceeded)
     task.model = test::toyModel("burst", 4);
     task.fps = 2000.0; // a 2 kHz burst the hardware cannot absorb
     scenario.tasks.push_back(task);
-    cost::CostTable costs(system);
-    costs.addModel(task.model);
+    const cost::CostTable costs(system, {&task.model});
 
     const double window_us = 5e4;
     workload::FrameSource frames(scenario, 3);
@@ -298,8 +289,7 @@ TEST(Serve, AdmissionDegradePicksLightestVariant)
     workload::TaskSpec task;
     task.model = test::toySupernet();
     scenario.tasks.push_back(task);
-    cost::CostTable costs(system);
-    costs.addModel(task.model);
+    const cost::CostTable costs(system, {&task.model});
 
     // Calibrate the bound so exactly one original-path frame fits:
     // the first offer admits, the second (same instant, no drain)
@@ -340,8 +330,7 @@ TEST(Serve, AdmissionDegradePicksLightestVariant)
     workload::TaskSpec ptask;
     ptask.model = test::toyModel();
     plain.tasks.push_back(ptask);
-    cost::CostTable pcosts(system);
-    pcosts.addModel(ptask.model);
+    const cost::CostTable pcosts(system, {&ptask.model});
     double plain_cost = 0.0;
     for (const auto& layer : ptask.model.layers)
         plain_cost += pcosts.minLatencyUs(layer);
@@ -367,8 +356,7 @@ TEST(Serve, AdmissionBacklogDrainsAtCapacity)
     workload::TaskSpec task;
     task.model = test::toyModel();
     scenario.tasks.push_back(task);
-    cost::CostTable costs(system);
-    costs.addModel(task.model);
+    const cost::CostTable costs(system, {&task.model});
 
     serve::AdmissionConfig config;
     config.maxBacklogUs = 1e9; // never rejects; observe the backlog
@@ -451,9 +439,7 @@ TEST(Serve, RollingSnapshotsAreDeterministicAndOrdered)
     const auto system = hw::makeSystem(hw::SystemPreset::Sys4k1Ws2Os);
     const auto scenario =
         workload::makeScenario(workload::ScenarioPreset::ArCall);
-    cost::CostTable costs(system);
-    for (const auto& t : scenario.tasks)
-        costs.addModel(t.model);
+    const cost::CostTable costs(system, scenario.models());
     const double window_us = 6e5;
 
     const workload::FrameSource frames(scenario, 9);

@@ -22,9 +22,7 @@ runWith(const hw::SystemConfig& system,
         double window_us, uint64_t seed,
         const workload::ArrivalSource* arrivals = nullptr)
 {
-    cost::CostTable costs(system);
-    for (const auto& t : scenario.tasks)
-        costs.addModel(t.model);
+    const cost::CostTable costs(system, scenario.models());
     sim::SimConfig cfg;
     cfg.windowUs = window_us;
     cfg.seed = seed;
@@ -48,9 +46,10 @@ expectStatsBitIdentical(const sim::RunStats& a, const sim::RunStats& b)
         // NaN == never completed: both sides must agree, and real
         // completion times must match exactly.
         EXPECT_EQ(fa.isCompleted(), fb.isCompleted()) << "frame " << i;
-        if (fa.isCompleted() && fb.isCompleted())
+        if (fa.isCompleted() && fb.isCompleted()) {
             EXPECT_EQ(fa.completionUs, fb.completionUs)
                 << "frame " << i;
+        }
         EXPECT_EQ(fa.dropped, fb.dropped) << "frame " << i;
         EXPECT_EQ(fa.violated, fb.violated) << "frame " << i;
         EXPECT_EQ(fa.inWindow, fb.inWindow) << "frame " << i;

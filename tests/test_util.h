@@ -70,7 +70,8 @@ public:
         os.name = "OS";
         os.dataflow = hw::Dataflow::OutputStationary;
         system_.accelerators = {ws, os};
-        costs_ = std::make_unique<cost::CostTable>(system_);
+        costs_ = std::make_unique<cost::CostTable>(system_,
+                                                   scenario_.models());
         for (const auto& acc : system_.accelerators) {
             sim::AcceleratorState st;
             st.config = &acc;
@@ -89,7 +90,9 @@ public:
         spec.fps = fps;
         spec.dependsOn = depends_on;
         scenario_.tasks.push_back(std::move(spec));
-        costs_->addModel(scenario_.tasks.back().model);
+        // A table covers a fixed model set: rebuild it for the new one.
+        costs_ = std::make_unique<cost::CostTable>(system_,
+                                                   scenario_.models());
         stats_.tasks.emplace_back();
         stats_.tasks.back().model = scenario_.tasks.back().model.name;
         return workload::TaskId(scenario_.tasks.size() - 1);
@@ -136,7 +139,7 @@ public:
 
     hw::SystemConfig& system() { return system_; }
     workload::Scenario& scenario() { return scenario_; }
-    cost::CostTable& costs() { return *costs_; }
+    const cost::CostTable& costs() { return *costs_; }
     std::vector<sim::AcceleratorState>& accels() { return accels_; }
     sim::RunStats& stats() { return stats_; }
 

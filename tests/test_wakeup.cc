@@ -79,8 +79,8 @@ struct Fixture {
         scenario.name = "wakeup-test";
         scenario.tasks.push_back(std::move(task));
 
-        costs = std::make_unique<cost::CostTable>(system);
-        costs->addModel(scenario.tasks[0].model);
+        costs = std::make_unique<cost::CostTable>(system,
+                                                  scenario.models());
     }
 
     sim::RunStats
