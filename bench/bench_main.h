@@ -59,11 +59,13 @@
 #define DREAM_BENCH_BENCH_MAIN_H
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -267,12 +269,17 @@ parseArgs(int argc, char** argv, const std::vector<ExtraFlag>& extra = {})
             *extra_it->value = argv[++i];
         } else if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
             char* end = nullptr;
-            opts.jobs = int(std::strtol(argv[++i], &end, 10));
-            if (end == argv[i] || *end != '\0') {
-                std::fprintf(stderr, "invalid --jobs value: %s\n",
+            errno = 0;
+            const long jobs = std::strtol(argv[++i], &end, 10);
+            if (end == argv[i] || *end != '\0' || errno == ERANGE ||
+                jobs < 0 || jobs > std::numeric_limits<int>::max()) {
+                std::fprintf(stderr,
+                             "invalid --jobs value (want 0 for all "
+                             "cores or a positive count): %s\n",
                              argv[i]);
                 std::exit(2);
             }
+            opts.jobs = int(jobs);
         } else if (arg == "--out" && i + 1 < argc) {
             opts.out = argv[++i];
         } else if (arg == "--json") {

@@ -15,6 +15,7 @@
 
 #include "bench_main.h"
 #include "engine/param_eval.h"
+#include "engine/param_search.h"
 #include "runner/table.h"
 
 using namespace dream;
@@ -76,10 +77,8 @@ main(int argc, char** argv)
             grid, bench::sinkList({&shifted}));
         const auto best = engine::bestParams(records);
 
-        const auto eval =
-            engine::makeBatchEvaluator(system, scenario, pool);
-        core::ParamSearch search(0.5, 0.05, 0.0, 2.0);
-        const auto result = search.optimize(eval, c.a0, c.b0);
+        engine::ParamSearch search(system, scenario, pool);
+        const auto result = search.optimize(c.a0, c.b0);
 
         const double base = result.trajectory.front().cost;
         std::vector<std::string> row{c.name};

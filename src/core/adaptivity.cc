@@ -3,101 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace dream {
 namespace core {
-
-double
-ParamSearch::clamp(double v) const
-{
-    return std::min(paramMax_, std::max(paramMin_, v));
-}
-
-SearchResult
-ParamSearch::optimize(const CostFn& cost, double a0, double b0) const
-{
-    const BatchCostFn batch =
-        [&cost](const std::vector<std::pair<double, double>>& pts) {
-            std::vector<double> out;
-            out.reserve(pts.size());
-            for (const auto& pt : pts)
-                out.push_back(cost(pt.first, pt.second));
-            return out;
-        };
-    return optimize(batch, a0, b0);
-}
-
-SearchResult
-ParamSearch::optimize(const BatchCostFn& cost, double a0,
-                      double b0) const
-{
-    const auto eval1 = [&cost](double a, double b) {
-        return cost({{a, b}}).front();
-    };
-
-    SearchResult result;
-    double a = clamp(a0);
-    double b = clamp(b0);
-    double c = eval1(a, b);
-    ++result.evaluations;
-    result.trajectory.push_back({a, b, c, initialRadius_, 0});
-
-    double best_a = a, best_b = b, best_c = c;
-    int step = 0;
-    for (double radius = initialRadius_; radius >= radiusThreshold_;
-         radius *= 0.5) {
-        ++step;
-        // Neighbouring pairs at the radius plus distant pairs at twice
-        // the radius (diagonals), Section 3.6. The candidates of one
-        // step are independent: evaluate them as one batch.
-        const double r2 = 2.0 * radius;
-        std::vector<std::pair<double, double>> pts = {
-            {clamp(a + radius), clamp(b)}, {clamp(a - radius), clamp(b)},
-            {clamp(a), clamp(b + radius)}, {clamp(a), clamp(b - radius)},
-            {clamp(a + r2), clamp(b + r2)}, {clamp(a - r2), clamp(b + r2)},
-            {clamp(a + r2), clamp(b - r2)}, {clamp(a - r2), clamp(b - r2)},
-        };
-        const std::vector<double> costs = cost(pts);
-        assert(costs.size() == pts.size());
-        result.evaluations += int(pts.size());
-
-        // Current + candidates; keep the two minima in batch order.
-        double c1a = a, c1b = b, c1c = c;
-        double c2a = a, c2b = b, c2c = std::numeric_limits<double>::max();
-        for (size_t i = 0; i < pts.size(); ++i) {
-            const double pa = pts[i].first;
-            const double pb = pts[i].second;
-            const double pc = costs[i];
-            if (pc < c1c) {
-                c2a = c1a; c2b = c1b; c2c = c1c;
-                c1a = pa; c1b = pb; c1c = pc;
-            } else if (pc < c2c) {
-                c2a = pa; c2b = pb; c2c = pc;
-            }
-        }
-
-        // Move to the interpolation of the two minimum pairs.
-        const double ia = clamp(0.5 * (c1a + c2a));
-        const double ib = clamp(0.5 * (c1b + c2b));
-        const double ic = eval1(ia, ib);
-        ++result.evaluations;
-        if (ic <= c1c) {
-            a = ia; b = ib; c = ic;
-        } else {
-            a = c1a; b = c1b; c = c1c;
-        }
-        if (c < best_c) {
-            best_a = a; best_b = b; best_c = c;
-        }
-        result.trajectory.push_back({a, b, c, radius, step});
-    }
-
-    result.alpha = best_a;
-    result.beta = best_b;
-    result.cost = best_c;
-    result.simulated = result.evaluations;
-    return result;
-}
 
 double
 windowedObjective(metrics::Objective objective,

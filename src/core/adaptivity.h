@@ -2,13 +2,11 @@
  * @file
  * Adaptivity engine (Sections 3.6 and 4.4).
  *
- * Two cooperating pieces:
- *
- *  - ParamSearch: the offline iterative (alpha, beta) optimisation of
- *    Section 3.6 — sample neighbouring and distant parameter pairs,
- *    move to the interpolation of the two minimum-cost pairs, shrink
- *    the radius, repeat until the radius passes the threshold
- *    (Figures 3, 10, 11).
+ *  - SearchResult / BatchCostFn: the result and evaluator types of
+ *    the offline iterative (alpha, beta) optimisation of Section 3.6
+ *    (Figures 3, 10, 11, 13). The search itself is
+ *    engine::ParamSearch (engine/param_search.h), which runs it on a
+ *    transposition table.
  *
  *  - OnlineTuner: the non-blocking run-time variant of Section 4.4 —
  *    tests a small number of (alpha, beta) pairs around the current
@@ -50,66 +48,22 @@ struct SearchResult {
     std::vector<SearchStep> trajectory;
     /** Every point evaluated (for search-cost accounting). */
     int evaluations = 0;
-    /**
-     * Candidate evaluations served from a transposition table —
-     * engine::ParamSearch fills these; the plain core search
-     * executes every evaluation, so memoHits stays 0 and
-     * simulated == evaluations.
-     */
+    /** Candidate evaluations served from the search's
+     *  transposition table (evaluations == memoHits + simulated). */
     int memoHits = 0;
     /** Cost-function executions actually performed. */
     int simulated = 0;
 };
 
-/** Cost callback: objective value at (alpha, beta); lower is better. */
-using CostFn = std::function<double(double, double)>;
-
 /**
  * Batched cost callback: objective values for a list of (alpha,
- * beta) pairs, in order. Lets callers evaluate the independent
- * candidate points of one search step concurrently (e.g. on the
- * sweep engine's WorkerPool) while the search itself stays
- * sequential — results are identical to the serial CostFn path.
+ * beta) pairs, in order; lower is better. Lets callers evaluate the
+ * independent candidate points of one search step concurrently
+ * (e.g. on the sweep engine's WorkerPool) while the search itself
+ * stays sequential.
  */
 using BatchCostFn = std::function<std::vector<double>(
     const std::vector<std::pair<double, double>>&)>;
-
-/** Offline shrinking-radius (alpha, beta) search. */
-class ParamSearch {
-public:
-    ParamSearch(double initial_radius, double radius_threshold,
-                double param_min, double param_max)
-        : initialRadius_(initial_radius),
-          radiusThreshold_(radius_threshold), paramMin_(param_min),
-          paramMax_(param_max)
-    {}
-
-    /** Build from a DreamConfig's search settings. */
-    explicit ParamSearch(const DreamConfig& config)
-        : ParamSearch(config.initialRadius, config.radiusThreshold,
-                      config.paramMin, config.paramMax)
-    {}
-
-    /** Run the search from (a0, b0). */
-    SearchResult optimize(const CostFn& cost, double a0,
-                          double b0) const;
-
-    /**
-     * Run the search from (a0, b0), evaluating each step's candidate
-     * points through one batched call (bit-identical to the serial
-     * overload).
-     */
-    SearchResult optimize(const BatchCostFn& cost, double a0,
-                          double b0) const;
-
-private:
-    double clamp(double v) const;
-
-    double initialRadius_;
-    double radiusThreshold_;
-    double paramMin_;
-    double paramMax_;
-};
 
 /**
  * Windowed objective between two cumulative stats snapshots: applies

@@ -10,21 +10,6 @@
 namespace dream {
 namespace engine {
 
-core::CostFn
-makeEvaluator(const hw::SystemConfig& system,
-              const workload::Scenario& scenario,
-              metrics::Objective objective, uint64_t seed)
-{
-    return [&system, &scenario, objective, seed](double a, double b) {
-        core::DreamConfig cfg = core::DreamConfig::fixedParams(a, b);
-        cfg.smartDrop = true;
-        core::DreamScheduler sched(cfg);
-        const auto r = runner::runOnce(system, scenario, sched,
-                                       kSearchWindowUs, seed);
-        return metrics::evaluate(objective, r.stats);
-    };
-}
-
 core::BatchCostFn
 makeBatchEvaluator(const hw::SystemConfig& system,
                    const workload::Scenario& scenario,
@@ -33,11 +18,15 @@ makeBatchEvaluator(const hw::SystemConfig& system,
 {
     return [&system, &scenario, &pool, objective,
             seed](const std::vector<std::pair<double, double>>& pts) {
-        const core::CostFn eval =
-            makeEvaluator(system, scenario, objective, seed);
         std::vector<double> out(pts.size());
         pool.parallelFor(pts.size(), [&](size_t i) {
-            out[i] = eval(pts[i].first, pts[i].second);
+            core::DreamConfig cfg = core::DreamConfig::fixedParams(
+                pts[i].first, pts[i].second);
+            cfg.smartDrop = true;
+            core::DreamScheduler sched(cfg);
+            const auto r = runner::runOnce(system, scenario, sched,
+                                           kSearchWindowUs, seed);
+            out[i] = metrics::evaluate(objective, r.stats);
         });
         return out;
     };

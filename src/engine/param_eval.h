@@ -4,12 +4,12 @@
  * the engine-side home of what bench/search_util.h used to provide
  * for Figures 3, 10, 11 and 13.
  *
- * makeEvaluator() scores a single parameter pair by running a short
- * fixed-parameter DREAM simulation; makeBatchEvaluator() evaluates a
- * batch of pairs concurrently on a WorkerPool (feeding
- * core::ParamSearch's batched optimize()); paramSpaceGrid() declares
- * the [0, 2]^2 scan of the parameter space as a SweepGrid so the
- * full grid runs through Engine::run() with any --jobs value.
+ * makeBatchEvaluator() scores a batch of parameter pairs, each by a
+ * short fixed-parameter DREAM simulation, concurrently on a
+ * WorkerPool (the evaluator of engine::ParamSearch and of the
+ * OnlineTuner's batched rounds); paramSpaceGrid() declares the
+ * [0, 2]^2 scan of the parameter space as a SweepGrid so the full
+ * grid runs through Engine::run() with any --jobs value.
  */
 
 #ifndef DREAM_ENGINE_PARAM_EVAL_H
@@ -34,21 +34,12 @@ constexpr double kSearchWindowUs = 1e6;
 constexpr uint64_t kSearchSeed = 11;
 
 /**
- * Cost function over (alpha, beta): the objective of a
- * fixed-parameter smart-drop DREAM run on (system, scenario).
- * Captures @p system and @p scenario by reference.
- */
-core::CostFn
-makeEvaluator(const hw::SystemConfig& system,
-              const workload::Scenario& scenario,
-              metrics::Objective objective = metrics::Objective::UxCost,
-              uint64_t seed = kSearchSeed);
-
-/**
- * Batched variant: evaluates each pair of a batch concurrently on
- * @p pool. Results are positionally identical to calling
- * makeEvaluator()'s function per pair. Captures @p system,
- * @p scenario and @p pool by reference.
+ * Batched cost function over (alpha, beta): for each pair, the
+ * objective of a fixed-parameter smart-drop DREAM run on
+ * (system, scenario) over kSearchWindowUs, evaluated concurrently on
+ * @p pool. Results are positional and independent of the pool's
+ * worker count. Captures @p system, @p scenario and @p pool by
+ * reference.
  */
 core::BatchCostFn
 makeBatchEvaluator(const hw::SystemConfig& system,

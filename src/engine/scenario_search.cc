@@ -292,10 +292,9 @@ ScenarioSearch::run()
     }
     const std::vector<Candidate> probes = memoizedBatch(starts);
 
-    // Best-first exploration (ties: start order), with the
-    // ParamSearch dominance cut mirrored for maximization: a start
-    // whose probe value is already below a completed climb's optimum
-    // is pruned.
+    // Best-first exploration (ties: start order), with a dominance
+    // cut for maximization: a start whose probe value is already
+    // below a completed climb's optimum is pruned.
     std::vector<size_t> order(probes.size());
     std::iota(order.begin(), order.end(), size_t(0));
     std::stable_sort(order.begin(), order.end(),

@@ -10,7 +10,8 @@
  * alone, ready to be persisted into the hard-scenarios suite
  * (workload/scenario_suite.h) and re-swept in CI.
  *
- * Structure mirrors ParamSearch deliberately:
+ * Structure follows ParamSearch's memoized walk, plus a multi-start
+ * layer of its own:
  *  - a transposition table keyed by the candidate's exact identity
  *    (serializeGenSpec(spec) + genSeed) — a (spec, seed) pair is
  *    never simulated twice, across rounds, starts and run() calls;

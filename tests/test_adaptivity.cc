@@ -1,6 +1,6 @@
-/** @file Tests for the adaptivity engine (offline search + tuner). */
-
-#include <cmath>
+/** @file Tests for the adaptivity engine's run-time side: the
+ *  windowed objective and the online tuner (the offline search is
+ *  tested in test_param_search.cc). */
 
 #include <gtest/gtest.h>
 
@@ -9,64 +9,6 @@
 
 namespace dream {
 namespace {
-
-TEST(ParamSearch, ConvergesOnConvexBowl)
-{
-    // Minimum at (0.7, 1.3).
-    const auto bowl = [](double a, double b) {
-        return (a - 0.7) * (a - 0.7) + (b - 1.3) * (b - 1.3);
-    };
-    core::ParamSearch search(0.5, 0.01, 0.0, 2.0);
-    const auto r = search.optimize(bowl, 1.9, 0.1);
-    EXPECT_NEAR(r.alpha, 0.7, 0.15);
-    EXPECT_NEAR(r.beta, 1.3, 0.15);
-    EXPECT_LT(r.cost, 0.05);
-    EXPECT_GT(r.evaluations, 10);
-    EXPECT_FALSE(r.trajectory.empty());
-}
-
-TEST(ParamSearch, RespectsBounds)
-{
-    const auto edge = [](double a, double b) { return -(a + b); };
-    core::ParamSearch search(0.5, 0.05, 0.0, 2.0);
-    const auto r = search.optimize(edge, 1.0, 1.0);
-    EXPECT_LE(r.alpha, 2.0);
-    EXPECT_LE(r.beta, 2.0);
-    EXPECT_GE(r.alpha, 0.0);
-    EXPECT_GE(r.beta, 0.0);
-    // The optimum of -(a+b) on [0,2]^2 is the (2,2) corner.
-    EXPECT_NEAR(r.alpha, 2.0, 0.26);
-    EXPECT_NEAR(r.beta, 2.0, 0.26);
-}
-
-TEST(ParamSearch, TrajectoryMonotoneSteps)
-{
-    const auto bowl = [](double a, double b) {
-        return (a - 1.0) * (a - 1.0) + (b - 1.0) * (b - 1.0);
-    };
-    core::ParamSearch search(0.5, 0.05, 0.0, 2.0);
-    const auto r = search.optimize(bowl, 0.0, 2.0);
-    // Accepted cost never increases along the trajectory.
-    for (size_t i = 1; i < r.trajectory.size(); ++i)
-        EXPECT_LE(r.trajectory[i].cost, r.trajectory[i - 1].cost + 1e-12);
-    // Steps are numbered consecutively from zero.
-    for (size_t i = 0; i < r.trajectory.size(); ++i)
-        EXPECT_EQ(r.trajectory[i].step, int(i));
-}
-
-TEST(ParamSearch, RadiusShrinksBelowThreshold)
-{
-    int evals = 0;
-    const auto counting = [&evals](double, double) {
-        ++evals;
-        return 1.0;
-    };
-    core::ParamSearch search(0.4, 0.1, 0.0, 2.0);
-    const auto r = search.optimize(counting, 1.0, 1.0);
-    // Radii 0.4, 0.2, 0.1 -> 3 refinement steps + initial point.
-    EXPECT_EQ(r.trajectory.size(), 4u);
-    EXPECT_EQ(evals, r.evaluations);
-}
 
 TEST(WindowedObjective, UsesDeltasBetweenSnapshots)
 {

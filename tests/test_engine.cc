@@ -322,12 +322,15 @@ TEST(Engine, ParamGridMatchesSingleEvaluator)
 
     const auto system = hw::makeSystem(sys_preset);
     const auto scenario = workload::makeScenario(sc_preset);
-    const auto eval = engine::makeEvaluator(system, scenario);
-    for (const auto& r : records) {
-        const double a = engine::paramValue(r.params, "alpha");
-        const double b = engine::paramValue(r.params, "beta");
-        EXPECT_DOUBLE_EQ(r.uxCost, eval(a, b)) << r.key();
-    }
+    engine::WorkerPool pool(2);
+    std::vector<std::pair<double, double>> pts;
+    for (const auto& r : records)
+        pts.push_back({engine::paramValue(r.params, "alpha"),
+                       engine::paramValue(r.params, "beta")});
+    const auto costs =
+        engine::makeBatchEvaluator(system, scenario, pool)(pts);
+    for (size_t i = 0; i < records.size(); ++i)
+        EXPECT_DOUBLE_EQ(records[i].uxCost, costs[i]) << records[i].key();
 }
 
 TEST(Engine, FilteredRunSelectsMatchingPointsDeterministically)
@@ -794,38 +797,6 @@ TEST(OnlineTuner, BatchEvaluatorCompletesRoundsSynchronously)
 
     // Concurrent candidate evaluation is bit-identical to serial.
     EXPECT_EQ(run(1), run(4));
-}
-
-TEST(ParamSearch, BatchedOptimizeMatchesSerial)
-{
-    const core::CostFn cost = [](double a, double b) {
-        return (a - 0.7) * (a - 0.7) + (b - 1.3) * (b - 1.3);
-    };
-    engine::WorkerPool pool(4);
-    const core::BatchCostFn batch =
-        [&](const std::vector<std::pair<double, double>>& pts) {
-            std::vector<double> out(pts.size());
-            pool.parallelFor(pts.size(), [&](size_t i) {
-                out[i] = cost(pts[i].first, pts[i].second);
-            });
-            return out;
-        };
-
-    core::ParamSearch search(0.5, 0.05, 0.0, 2.0);
-    const auto serial = search.optimize(cost, 0.2, 1.8);
-    const auto batched = search.optimize(batch, 0.2, 1.8);
-
-    EXPECT_EQ(serial.alpha, batched.alpha);
-    EXPECT_EQ(serial.beta, batched.beta);
-    EXPECT_EQ(serial.cost, batched.cost);
-    EXPECT_EQ(serial.evaluations, batched.evaluations);
-    ASSERT_EQ(serial.trajectory.size(), batched.trajectory.size());
-    for (size_t i = 0; i < serial.trajectory.size(); ++i) {
-        EXPECT_EQ(serial.trajectory[i].alpha,
-                  batched.trajectory[i].alpha);
-        EXPECT_EQ(serial.trajectory[i].cost,
-                  batched.trajectory[i].cost);
-    }
 }
 
 TEST(Engine, TraceFileNameSanitizesTheKey)

@@ -55,6 +55,13 @@ struct PresetCase {
     bool homogeneous;
 };
 
+// Without this GoogleTest prints the case's raw bytes, tail padding
+// included, and the test names ctest discovers vary from run to run.
+void PrintTo(const PresetCase& pc, std::ostream* os)
+{
+    *os << toString(pc.preset);
+}
+
 class SystemPresetTest : public ::testing::TestWithParam<PresetCase> {};
 
 TEST_P(SystemPresetTest, MatchesTable2)
