@@ -82,9 +82,11 @@ struct ContextFixture {
         ctx.scenario = &scenario;
         ctx.accels = &accels;
         ctx.stats = &stats;
+        ctx.livePerTask.assign(scenario.tasks.size(), 0);
         for (const auto& r : requests) {
             ctx.ready.push_back(r.get());
             ctx.live.push_back(r.get());
+            ctx.livePerTask[r->task] += 1;
         }
     }
 };

@@ -43,8 +43,10 @@ OnlineTuner::fingerprint(const sim::SchedulerContext& ctx) const
     // The inference-model list the paper's adaptivity engine tracks:
     // which tasks currently have live requests.
     uint64_t fp = 0;
-    for (const auto* req : ctx.live)
-        fp |= 1ull << (unsigned(req->task) & 63u);
+    for (size_t t = 0; t < ctx.livePerTask.size(); ++t) {
+        if (ctx.livePerTask[t] > 0)
+            fp |= 1ull << (unsigned(t) & 63u);
+    }
     return fp;
 }
 

@@ -35,15 +35,8 @@ std::optional<int>
 FrameDropEngine::selectDrop(const sim::SchedulerContext& ctx,
                             const MapScoreEngine& scores) const
 {
-    // Condition 2: more than one live job expected to violate.
-    int expected_violations = 0;
-    for (const auto* req : ctx.live) {
-        if (expectedViolation(ctx, scores, *req))
-            ++expected_violations;
-    }
-    if (expected_violations <= 1)
-        return std::nullopt;
-
+    // Conditions 1, 3 and 4 pick the victim first: most rounds have
+    // none, and then the O(live) condition-2 count below is skipped.
     const sim::Request* victim = nullptr;
     double worst_ratio = 0.0;
     for (const auto* req : ctx.ready) { // droppable: not in flight
@@ -67,7 +60,16 @@ FrameDropEngine::selectDrop(const sim::SchedulerContext& ctx,
     }
     if (!victim)
         return std::nullopt;
-    return victim->id;
+
+    // Condition 2: more than one live job expected to violate. The
+    // victim is live and violating, so this only needs a second one.
+    int expected_violations = 0;
+    for (const auto* req : ctx.live) {
+        if (expectedViolation(ctx, scores, *req) &&
+            ++expected_violations > 1)
+            return victim->id;
+    }
+    return std::nullopt;
 }
 
 } // namespace core

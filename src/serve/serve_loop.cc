@@ -150,12 +150,12 @@ ServeLoop::offer(workload::FrameSpec frame)
             rejects_.record(frame.arrivalUs);
             return decision;
         }
-        sim_->offerArrival(frame);
+        sim_->offerArrival(std::move(frame));
         return decision;
     }
     tally_.offered += 1;
     tally_.admitted += 1;
-    sim_->offerArrival(frame);
+    sim_->offerArrival(std::move(frame));
     return AdmissionDecision::Admit;
 }
 
@@ -195,7 +195,7 @@ ServeLoop::pollGauges(double t_us)
 
     Gauges g;
     g.backlogUs = admission_ ? admission_->backlogUs() : 0.0;
-    g.liveFrames = sim_ ? sim_->liveFrames() : 0;
+    g.liveFrames = liveFrames();
     const uint64_t n_out = outcomes_.count();
     g.violationRate =
         n_out ? double(violations_.count()) / double(n_out) : 0.0;

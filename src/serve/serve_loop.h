@@ -143,6 +143,10 @@ public:
     };
     Gauges pollGauges(double t_us);
 
+    /** Frames live in the simulator (admitted, not yet finished);
+     *  0 before begin(). */
+    size_t liveFrames() const { return sim_ ? sim_->liveFrames() : 0; }
+
     /** FrameOutcomeSink: feeds the rolling windows. */
     void onFrameOutcome(const obs::FrameOutcome& outcome) override;
 

@@ -71,8 +71,12 @@ struct Plan {
  * Read-only snapshot handed to the scheduler.
  *
  * `ready` holds, per task queue, the head frame if it is schedulable
- * (arrived, unfinished, not in flight). `live` holds every unfinished
- * frame (for multi-violation checks and frame-drop policies).
+ * (arrived, unfinished, not in flight). `live` holds every admitted,
+ * unfinished frame (for multi-violation checks and frame-drop
+ * policies) in admission order; the simulator keeps it up to date as
+ * frames are admitted, completed and dropped rather than rebuilding
+ * it each round, so a round costs O(tasks + accelerators + ready),
+ * not O(live). `livePerTask[t]` counts the `live` entries of task t.
  */
 struct SchedulerContext {
     double nowUs = 0.0;
@@ -82,6 +86,7 @@ struct SchedulerContext {
     const workload::Scenario* scenario = nullptr;
     std::vector<const Request*> ready;
     std::vector<const Request*> live;
+    std::vector<size_t> livePerTask;
     const std::vector<AcceleratorState>* accels = nullptr;
     /** Cumulative stats of the run so far (for online adaptivity). */
     const RunStats* stats = nullptr;

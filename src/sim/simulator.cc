@@ -45,14 +45,14 @@ Simulator::headOfTask(workload::TaskId task)
 {
     auto& q = taskQueues_[task];
     while (!q.empty() && requests_[q.front()]->finished())
-        q.erase(q.begin());
+        q.pop_front();
     if (q.empty())
         return nullptr;
     return requests_[q.front()].get();
 }
 
 void
-Simulator::admitFrame(const workload::FrameSpec& spec)
+Simulator::admitFrame(workload::FrameSpec spec)
 {
     auto req = std::make_unique<Request>();
     req->id = int(requests_.size());
@@ -60,9 +60,9 @@ Simulator::admitFrame(const workload::FrameSpec& spec)
     req->frameIdx = spec.frameIdx;
     req->arrivalUs = spec.arrivalUs;
     req->deadlineUs = spec.deadlineUs;
-    req->path = spec.path;
+    req->path = std::move(spec.path);
     req->lastEventUs = spec.arrivalUs;
-    req->childTriggers = spec.childTriggers;
+    req->childTriggers = std::move(spec.childTriggers);
 
     // Worst-case energy of the materialised path (Algorithm 2 L5
     // denominator): the worst layer-accelerator pairing per layer.
@@ -76,7 +76,8 @@ Simulator::admitFrame(const workload::FrameSpec& spec)
     }
 
     taskQueues_[spec.task].push_back(req->id);
-    liveFrames_ += 1;
+    ctx_.live.push_back(req.get());
+    ctx_.livePerTask[spec.task] += 1;
 
     if (config_.telemetry && config_.telemetry->trace) {
         config_.telemetry->trace->instant(
@@ -89,6 +90,18 @@ Simulator::admitFrame(const workload::FrameSpec& spec)
     }
 
     requests_.push_back(std::move(req));
+}
+
+void
+Simulator::retireFrame(const Request& req)
+{
+    // O(live) per finished frame, not per round; erase (not
+    // swap-and-pop) keeps the set in admission order.
+    const auto it = std::find(ctx_.live.begin(), ctx_.live.end(), &req);
+    assert(it != ctx_.live.end());
+    ctx_.live.erase(it);
+    assert(ctx_.livePerTask[req.task] > 0);
+    ctx_.livePerTask[req.task] -= 1;
 }
 
 void
@@ -133,8 +146,7 @@ Simulator::completeJob(const Job& job)
     // Frame complete.
     req.done = true;
     req.completionUs = job.endUs;
-    assert(liveFrames_ > 0);
-    liveFrames_ -= 1;
+    retireFrame(req);
     TaskStats& ts = stats_.tasks[req.task];
     const bool counted = inWindow(req.deadlineUs, config_.windowUs);
     if (counted) {
@@ -213,8 +225,7 @@ Simulator::applyDrop(const FrameDrop& drop)
     Request& req = *requests_[drop.requestId];
     assert(!req.inFlight && !req.finished());
     req.dropped = true;
-    assert(liveFrames_ > 0);
-    liveFrames_ -= 1;
+    retireFrame(req);
     TaskStats& ts = stats_.tasks[req.task];
     if (inWindow(req.deadlineUs, config_.windowUs)) {
         ts.droppedFrames += 1;
@@ -350,25 +361,18 @@ Simulator::applyDispatch(const Dispatch& d)
 void
 Simulator::buildContext()
 {
+    // The live set is maintained by admitFrame/retireFrame; a frame
+    // is admitted only once the clock reaches its arrival, so every
+    // live frame has arrived. Only a task's head can finish (per-task
+    // FIFO dispatch; drops pick ready heads), so the head scan below
+    // is all a round has to redo.
     ctx_.nowUs = nowUs_;
-    ctx_.windowUs = config_.windowUs;
-    ctx_.system = &system_;
-    ctx_.costs = &costs_;
-    ctx_.scenario = &scenario_;
-    ctx_.accels = &accels_;
-    ctx_.stats = &stats_;
     ctx_.ready.clear();
-    ctx_.live.clear();
     for (workload::TaskId t = 0; t < workload::TaskId(taskQueues_.size());
          ++t) {
         Request* head = headOfTask(t);
         if (head && !head->inFlight && head->arrivalUs <= nowUs_ + 1e-9)
             ctx_.ready.push_back(head);
-        for (const int id : taskQueues_[t]) {
-            const Request* r = requests_[id].get();
-            if (!r->finished() && r->arrivalUs <= nowUs_ + 1e-9)
-                ctx_.live.push_back(r);
-        }
     }
 }
 
@@ -462,8 +466,8 @@ Simulator::run(Scheduler& sched)
                      [](const auto& a, const auto& b) {
                          return a.arrivalUs < b.arrivalUs;
                      });
-    for (const auto& spec : arrivals)
-        offerArrival(spec);
+    for (auto& spec : arrivals)
+        offerArrival(std::move(spec));
     return finishStream();
 }
 
@@ -522,16 +526,23 @@ Simulator::beginStream(Scheduler& sched)
 
     pendingArrivals_.clear();
     nextArrival_ = 0;
-    liveFrames_ = 0;
     streamSched_ = &sched;
     streaming_ = true;
 
+    ctx_.windowUs = config_.windowUs;
+    ctx_.system = &system_;
+    ctx_.costs = &costs_;
+    ctx_.scenario = &scenario_;
+    ctx_.accels = &accels_;
+    ctx_.stats = &stats_;
+    ctx_.live.clear();
+    ctx_.livePerTask.assign(scenario_.tasks.size(), 0);
     buildContext();
     sched.reset(ctx_);
 }
 
 void
-Simulator::offerArrival(const workload::FrameSpec& spec)
+Simulator::offerArrival(workload::FrameSpec spec)
 {
     assert(streaming_ && "offerArrival outside a stream");
     if (!pendingArrivals_.empty() &&
@@ -542,7 +553,7 @@ Simulator::offerArrival(const workload::FrameSpec& spec)
     if (spec.arrivalUs < nowUs_ - 1e-9)
         throw std::invalid_argument(
             "stream arrival offered behind the stream clock");
-    pendingArrivals_.push_back(spec);
+    pendingArrivals_.push_back(std::move(spec));
 }
 
 void
@@ -575,7 +586,7 @@ Simulator::advanceTo(double limit_us)
         while (nextArrival_ < pendingArrivals_.size() &&
                pendingArrivals_[nextArrival_].arrivalUs <=
                    nowUs_ + 1e-9) {
-            admitFrame(pendingArrivals_[nextArrival_]);
+            admitFrame(std::move(pendingArrivals_[nextArrival_]));
             ++nextArrival_;
         }
         while (!wakeups_.empty() && wakeups_.top() <= nowUs_ + 1e-9)

@@ -13,6 +13,7 @@
 #ifndef DREAM_SIM_SIMULATOR_H
 #define DREAM_SIM_SIMULATOR_H
 
+#include <deque>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -94,9 +95,10 @@ public:
      * in nondecreasing arrival order and before the stream clock has
      * advanced past them (offer, then advanceTo); violating either
      * throws std::invalid_argument. Cascade children are still
-     * materialised internally via ArrivalSource::childFrame.
+     * materialised internally via ArrivalSource::childFrame. Taken by
+     * value: callers that are done with the frame move it in.
      */
-    void offerArrival(const workload::FrameSpec& spec);
+    void offerArrival(workload::FrameSpec spec);
 
     /**
      * Process every event strictly before min(@p limit_us, window):
@@ -114,8 +116,9 @@ public:
     /** Virtual time of the last processed event (us). */
     double nowUs() const { return nowUs_; }
 
-    /** Admitted frames (root + cascade) not yet finished. */
-    size_t liveFrames() const { return liveFrames_; }
+    /** Admitted frames (root + cascade) not yet finished: the queue
+     *  depth serve-mode admission control reads. */
+    size_t liveFrames() const { return ctx_.live.size(); }
 
 private:
     struct JobEvent {
@@ -125,7 +128,8 @@ private:
         bool operator>(const JobEvent& o) const { return endUs > o.endUs; }
     };
 
-    void admitFrame(const workload::FrameSpec& spec);
+    void admitFrame(workload::FrameSpec spec);
+    void retireFrame(const Request& req);
     void completeJob(const Job& job);
     void invokeScheduler(Scheduler& sched);
     bool applyPlan(const Plan& plan);
@@ -145,7 +149,7 @@ private:
     std::unique_ptr<workload::FrameSource> ownedSource_;
     const workload::ArrivalSource* source_ = nullptr;
     std::vector<std::unique_ptr<Request>> requests_;
-    std::vector<std::vector<int>> taskQueues_;  ///< FIFO req ids per task
+    std::vector<std::deque<int>> taskQueues_;  ///< FIFO req ids per task
     std::vector<AcceleratorState> accels_;
     std::priority_queue<JobEvent, std::vector<JobEvent>,
                         std::greater<JobEvent>> completions_;
@@ -153,15 +157,17 @@ private:
                         std::greater<double>> wakeups_;
     double nowUs_ = 0.0;
     RunStats stats_;
+    /** The scheduler's view. Its live set (and per-task counts) is
+     *  kept up to date by admitFrame and retireFrame; buildContext
+     *  only refreshes the clock and the ready heads. */
     SchedulerContext ctx_;
     /** Stream state: offered-but-unadmitted arrivals (FIFO from
-     *  nextArrival_), the bound scheduler, and the live-frame count
-     *  serve-mode admission control reads as its queue depth. */
+     *  nextArrival_; admitted entries are moved from) and the bound
+     *  scheduler. */
     std::vector<workload::FrameSpec> pendingArrivals_;
     size_t nextArrival_ = 0;
     Scheduler* streamSched_ = nullptr;
     bool streaming_ = false;
-    size_t liveFrames_ = 0;
     /** Start of the current busy interval per accelerator (valid
      *  while runningJobs > 0) — feeds RunStats::accelBusyUs. */
     std::vector<double> busyStartUs_;

@@ -6,12 +6,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -35,6 +38,19 @@ chunkRanges(size_t total, size_t chunks)
     for (size_t i = 0; i < m; ++i)
         out.push_back({total * i / m, total * (i + 1) / m});
     return out;
+}
+
+bool
+parseCount(const char* text, int* out)
+{
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || value < 0 ||
+        value > std::numeric_limits<int>::max())
+        return false;
+    *out = int(value);
+    return true;
 }
 
 ChunkQueue::ChunkQueue(std::vector<engine::ChunkSpec> chunks,
@@ -317,7 +333,9 @@ runOrchestrator(const OrchestratorOptions& opts)
     result.totalPoints = countGridPoints(opts);
     const size_t n_chunks =
         opts.chunks > 0 ? opts.chunks : 4 * result.workers;
-    const int max_attempts = 1 + std::max(opts.retries, 0);
+    const int max_attempts =
+        1 + std::clamp(opts.retries, 0,
+                       std::numeric_limits<int>::max() - 1);
 
     ChunkDir dir(opts.tempDir);
     const bool whole_run = result.totalPoints == 0;

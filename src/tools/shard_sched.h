@@ -116,6 +116,14 @@ struct ChunkOutcome {
     bool ok = false;
 };
 
+/**
+ * Parse a dream_shard count argument (--jobs, --chunks, --retries,
+ * --worker-jobs): a whole decimal number in [0, INT_MAX]. False for
+ * anything else — empty or trailing text, a negative value, or one
+ * outside int, which a cast would silently wrap.
+ */
+bool parseCount(const char* text, int* out);
+
 /** Orchestrator knobs (the dream_shard command line). */
 struct OrchestratorOptions {
     /**

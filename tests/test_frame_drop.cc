@@ -1,5 +1,11 @@
 /** @file Unit tests for the Smart Frame Drop engine's 4 conditions. */
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/frame_drop.h"
@@ -130,6 +136,126 @@ TEST(FrameDrop, ExpectedViolationUsesBestVariant)
     EXPECT_FALSE(drop.expectedViolation(ctx, engine, *req));
     req->deadlineUs = best / 2.0;
     EXPECT_TRUE(drop.expectedViolation(ctx, engine, *req));
+}
+
+/** selectDrop as it was before the victim-first rewrite: count the
+ *  expected violations over every live frame, then pick the victim. */
+std::optional<int>
+countFirstSelectDrop(const core::FrameDropEngine& drop,
+                     const sim::SchedulerContext& ctx,
+                     const core::MapScoreEngine& scores)
+{
+    int expected_violations = 0;
+    for (const auto* req : ctx.live) {
+        if (drop.expectedViolation(ctx, scores, *req))
+            ++expected_violations;
+    }
+    if (expected_violations <= 1)
+        return std::nullopt;
+
+    const sim::Request* victim = nullptr;
+    double worst_ratio = 0.0;
+    for (const auto* req : ctx.ready) {
+        if (!drop.expectedViolation(ctx, scores, *req))
+            continue;
+        if (!ctx.scenario->isLeaf(req->task))
+            continue;
+        if (!drop.dropBudgetAvailable(ctx, req->task))
+            continue;
+        const double slack =
+            std::max(req->deadlineUs - ctx.nowUs, 1.0);
+        const double ratio =
+            scores.minToGoBestVariantUs(ctx, *req) / slack;
+        if (ratio > worst_ratio) {
+            worst_ratio = ratio;
+            victim = req;
+        }
+    }
+    if (!victim)
+        return std::nullopt;
+    return victim->id;
+}
+
+TEST(FrameDrop, VictimFirstMatchesTheCountFirstReference)
+{
+    std::mt19937_64 rng(20230306);
+    const auto uniform = [&rng](double lo, double hi) {
+        return std::uniform_real_distribution<double>(lo, hi)(rng);
+    };
+    const auto pick = [&rng](int n) {
+        return int(std::uniform_int_distribution<int>(0, n - 1)(rng));
+    };
+    // Outcome mix, so the states cover every branch: no victim, a
+    // victim vetoed by condition 2, and a drop.
+    int none = 0, vetoed = 0, dropped = 0;
+    for (int state = 0; state < 400; ++state) {
+        test::ContextBuilder cb;
+        const int n_tasks = 2 + pick(4);
+        for (int t = 0; t < n_tasks; ++t) {
+            // Some tasks depend on an earlier one, which makes that
+            // one a non-leaf; one in five is a Supernet (variant-aware
+            // to-go).
+            const workload::TaskId parent =
+                t > 0 && pick(3) == 0 ? workload::TaskId(pick(t))
+                                      : workload::kNoParent;
+            const std::string tag = std::to_string(t);
+            models::Model m =
+                pick(5) == 0 ? test::toySupernet()
+                             : test::toyModel(tag, uint32_t(1 + pick(3)));
+            m.name += tag;
+            cb.addTask(std::move(m), 30.0, parent);
+        }
+        std::vector<sim::Request*> reqs;
+        const int n_reqs = 1 + pick(8);
+        for (int r = 0; r < n_reqs; ++r)
+            reqs.push_back(cb.addRequest(
+                workload::TaskId(pick(n_tasks)), 0.0, 0.0));
+        for (int t = 0; t < n_tasks; ++t) {
+            // Exhausted budgets on some tasks (condition 4).
+            auto& ts = cb.stats().tasks[size_t(t)];
+            ts.completedFrames = uint64_t(pick(12));
+            ts.droppedFrames = uint64_t(pick(4));
+        }
+        const double now = uniform(0.0, 1000.0);
+        core::MapScoreEngine engine(1.0, 1.0);
+        {
+            // Deadlines around each frame's best to-go: a mix of
+            // violating and non-violating frames.
+            const auto& ctx = cb.context(now);
+            for (auto* req : reqs)
+                req->deadlineUs =
+                    now + uniform(0.3, 1.7) *
+                              engine.minToGoBestVariantUs(ctx, *req);
+        }
+        for (auto* req : reqs) {
+            const int fate = pick(8);
+            if (fate == 0)
+                req->inFlight = true;
+            else if (fate == 1)
+                req->done = true;
+        }
+        core::FrameDropEngine drop(dropConfig());
+        const auto& ctx = cb.context(now);
+        const auto expected = countFirstSelectDrop(drop, ctx, engine);
+        ASSERT_EQ(drop.selectDrop(ctx, engine), expected)
+            << "state " << state;
+
+        const bool eligible = std::any_of(
+            ctx.ready.begin(), ctx.ready.end(), [&](const auto* req) {
+                return drop.expectedViolation(ctx, engine, *req) &&
+                       ctx.scenario->isLeaf(req->task) &&
+                       drop.dropBudgetAvailable(ctx, req->task);
+            });
+        if (expected)
+            ++dropped;
+        else if (eligible)
+            ++vetoed;
+        else
+            ++none;
+    }
+    EXPECT_GT(dropped, 20);
+    EXPECT_GT(vetoed, 20);
+    EXPECT_GT(none, 20);
 }
 
 } // namespace

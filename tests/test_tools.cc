@@ -6,12 +6,16 @@
  * cases), the overlap validation, regression diffing (NaN cells,
  * within-tolerance drift, added/removed grid points), the shard
  * orchestrator's scheduling logic (chunk partition, retry queue,
- * out-of-order reassembly), and the JSON result reader/merger.
+ * out-of-order reassembly) and count arguments, and the JSON result
+ * reader/merger.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -354,6 +358,53 @@ TEST(CsvDiff, SummariesRenderBothFormats)
 }
 
 // --------------------------------------- shard orchestrator logic
+
+TEST(ShardArgs, CountsAcceptTheIntRange)
+{
+    int v = -1;
+    EXPECT_TRUE(tools::parseCount("0", &v));
+    EXPECT_EQ(v, 0);
+    EXPECT_TRUE(tools::parseCount("4", &v));
+    EXPECT_EQ(v, 4);
+    EXPECT_TRUE(tools::parseCount("2147483647", &v));
+    EXPECT_EQ(v, std::numeric_limits<int>::max());
+}
+
+TEST(ShardArgs, CountsRejectNegativeMalformedAndOutOfIntValues)
+{
+    // 2^32 + 1 used to wrap to 1 and 2^31 to INT_MIN.
+    for (const char* text : {"4294967297", "2147483648", "-1", "",
+                             "4x", "99999999999999999999"}) {
+        int v = 7;
+        EXPECT_FALSE(tools::parseCount(text, &v)) << text;
+        EXPECT_EQ(v, 7) << text;
+    }
+}
+
+TEST(ShardArgs, BinaryExitsTwoNamingTheRejectedCount)
+{
+    // Rejected before any worker starts; even a regression that
+    // accepted these would run at most all-cores `true` workers.
+    for (const std::string flag : {"-j", "--retries", "--worker-jobs"}) {
+        for (const std::string value :
+             {"4294967297", "2147483648", "-1"}) {
+            const std::string cmd = std::string(DREAM_SHARD_BIN) + " " +
+                                    flag + " " + value +
+                                    " --quiet -- true 2>&1";
+            FILE* pipe = popen(cmd.c_str(), "r");
+            ASSERT_NE(pipe, nullptr) << cmd;
+            std::string output;
+            char buf[256];
+            while (std::fgets(buf, sizeof buf, pipe))
+                output += buf;
+            const int status = pclose(pipe);
+            ASSERT_TRUE(WIFEXITED(status)) << cmd;
+            EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+            EXPECT_NE(output.find("invalid"), std::string::npos) << cmd;
+            EXPECT_NE(output.find(value), std::string::npos) << cmd;
+        }
+    }
+}
 
 TEST(ShardSched, ChunkRangesTileTheSequenceExactly)
 {

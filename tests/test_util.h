@@ -127,10 +127,12 @@ public:
         ctx_.stats = &stats_;
         ctx_.ready.clear();
         ctx_.live.clear();
+        ctx_.livePerTask.assign(scenario_.tasks.size(), 0);
         for (const auto& r : requests_) {
             if (r->finished())
                 continue;
             ctx_.live.push_back(r.get());
+            ctx_.livePerTask[r->task] += 1;
             if (!r->inFlight)
                 ctx_.ready.push_back(r.get());
         }

@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -55,14 +54,6 @@ printUsage(const char* prog)
         prog);
 }
 
-bool
-parseCount(const char* text, long* out)
-{
-    char* end = nullptr;
-    *out = std::strtol(text, &end, 10);
-    return end != text && *end == '\0' && *out >= 0;
-}
-
 } // anonymous namespace
 
 int
@@ -73,36 +64,36 @@ main(int argc, char** argv)
     int i = 1;
     for (; i < argc; ++i) {
         const std::string arg = argv[i];
-        long value = 0;
+        int value = 0;
         if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
-            if (!parseCount(argv[++i], &value)) {
+            if (!tools::parseCount(argv[++i], &value)) {
                 std::fprintf(stderr, "invalid --jobs value: %s\n",
                              argv[i]);
                 return 2;
             }
-            opts.jobs = int(value);
+            opts.jobs = value;
         } else if (arg == "--chunks" && i + 1 < argc) {
-            if (!parseCount(argv[++i], &value) || value == 0) {
+            if (!tools::parseCount(argv[++i], &value) || value == 0) {
                 std::fprintf(stderr, "invalid --chunks value: %s\n",
                              argv[i]);
                 return 2;
             }
             opts.chunks = size_t(value);
         } else if (arg == "--retries" && i + 1 < argc) {
-            if (!parseCount(argv[++i], &value)) {
+            if (!tools::parseCount(argv[++i], &value)) {
                 std::fprintf(stderr, "invalid --retries value: %s\n",
                              argv[i]);
                 return 2;
             }
-            opts.retries = int(value);
+            opts.retries = value;
         } else if (arg == "--worker-jobs" && i + 1 < argc) {
-            if (!parseCount(argv[++i], &value)) {
+            if (!tools::parseCount(argv[++i], &value)) {
                 std::fprintf(stderr,
                              "invalid --worker-jobs value: %s\n",
                              argv[i]);
                 return 2;
             }
-            opts.workerJobs = int(value);
+            opts.workerJobs = value;
         } else if (arg == "--filter" && i + 1 < argc) {
             opts.filter = argv[++i];
         } else if (arg == "--json") {
